@@ -243,12 +243,11 @@ func BenchmarkEngineMixedReferences(b *testing.B) {
 
 // BenchmarkSimEngine measures the direct-execution engine core:
 // simulated operations per real second with Program workloads pulled
-// inline by the event loop — no goroutine, channel handshake, or
-// scheduler park/unpark per operation. The shim variant runs the
-// identical operation stream through the blocking func(*Proc)
-// compatibility path, so the delta is the cost of lock-stepping
-// goroutines. BENCH_sim.json (via cmd/cachesim -bench-json) gates
-// regressions on these numbers.
+// inline by the event loop. The shim variant runs the identical
+// operation stream through the blocking func(*Proc) API, so the delta
+// is the cost of the coroutine switch into and out of each blocking
+// workload per operation. BENCH_sim.json (via cmd/cachesim
+// -bench-json) gates regressions on these numbers.
 func BenchmarkSimEngine(b *testing.B) {
 	const procs, ops = 8, 2000
 	mixed := workload.Mixed{Ops: ops, SharedBlocks: 8, PrivBlocks: 24,

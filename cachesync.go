@@ -178,12 +178,15 @@ func New(cfg Config) (*Machine, error) {
 }
 
 // Run executes one workload per processor (missing entries idle) and
-// returns when all have finished, or on deadlock/cycle overrun.
+// returns when all have finished, or on deadlock/cycle overrun. Each
+// workload runs as a coroutine on the engine's event loop; a workload
+// panic propagates out of Run.
 func (m *Machine) Run(ws []Workload) error { return m.sys.Run(ws) }
 
-// RunPrograms executes one Program per processor (nil entries idle) on
-// the direct goroutine-free path. It produces runs byte-identical to
-// Run given the same operation sequence, several times faster.
+// RunPrograms executes one Program per processor (nil entries idle),
+// stepped inline by the event loop. It produces runs byte-identical to
+// Run given the same operation sequence, without Run's coroutine
+// switch per operation.
 func (m *Machine) RunPrograms(ps []Program) error { return m.sys.RunPrograms(ps) }
 
 // Clock returns the simulated time in cycles after Run.

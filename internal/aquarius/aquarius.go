@@ -148,9 +148,9 @@ func New(cfg Config) *System {
 		s.ibuf[i] = newIbuf(cfg.IBufEntries)
 	}
 	// The lower tier is always attached so every fabric access runs
-	// inside the engine's single-threaded event loop (shim workload
-	// goroutines run concurrently between blocking calls — touching
-	// crossbar/ibuf state from them would race). Routed additionally
+	// inside the engine's event loop at the simulated time it is
+	// served (a blocking workload's own code runs between its Proc
+	// calls, outside that order). Routed additionally
 	// makes classification mandatory: unclassified references are
 	// rejected instead of staying on the synchronization bus.
 	s.Sync.AttachLower(s, cfg.Routed)
@@ -206,7 +206,7 @@ func bump(c *stats.Counters, h **int64, name string) {
 // DataRead reads non-synchronization data through the crossbar:
 // always the latest version, straight from the bank. It issues an
 // engine-routed Data-class read, so the fabric bookkeeping happens in
-// deterministic event order even from shim workload goroutines.
+// deterministic event order even when called from a blocking workload.
 func (s *System) DataRead(p *sim.Proc, a addr.Addr) uint64 {
 	return p.ReadClass(a, interconnect.Data)
 }

@@ -8,6 +8,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cachesync/internal/protocol"
+	_ "cachesync/internal/protocol/all"
+	"cachesync/internal/sim"
 )
 
 // fakeJobs builds n jobs whose outputs are order-sensitive and whose
@@ -293,5 +297,32 @@ func TestSlowestReportsCriticalPath(t *testing.T) {
 	}
 	if top[0].Wall < top[1].Wall {
 		t.Error("Slowest not sorted longest-first")
+	}
+}
+
+// TestRunRecoversWorkloadPanic covers a panic raised inside a
+// simulated processor's blocking workload: it must reach safeRun on
+// the job's goroutine and become a job error, not crash the process,
+// while every other job still runs.
+func TestRunRecoversWorkloadPanic(t *testing.T) {
+	var ran atomic.Int64
+	jobs := fakeJobs(4, &ran)
+	jobs[1].Run = func() (Artifact, error) {
+		s := sim.New(sim.DefaultConfig(protocol.MustNew("illinois")))
+		err := s.Run([]func(*sim.Proc){
+			func(p *sim.Proc) { p.Read(0) },
+			func(p *sim.Proc) {
+				p.Write(0, 1)
+				panic("workload exploded")
+			},
+		})
+		return Artifact{}, err
+	}
+	_, err := Run(jobs, Options{Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), `job "job-01": panic: workload exploded`) {
+		t.Fatalf("want the workload panic as job-01's error, got %v", err)
+	}
+	if n := ran.Load(); n != 3 {
+		t.Fatalf("%d other jobs ran, want 3", n)
 	}
 }

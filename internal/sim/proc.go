@@ -38,10 +38,10 @@ const (
 	IOOutput
 )
 
-// procOp is one request from a processor goroutine to the engine. It
-// is copied on every simulated operation (Program.Next returns it by
-// value), so it is kept narrow: opCompute's cycle count shares the
-// value field, and the block-write progress index is 32-bit.
+// procOp is one request from a processor to the engine. It is copied
+// on every simulated operation (Program.Next returns it by value), so
+// it is kept narrow: opCompute's cycle count shares the value field,
+// and the block-write progress index is 32-bit.
 type procOp struct {
 	kind  opKind
 	op    protocol.Op
@@ -54,17 +54,15 @@ type procOp struct {
 	f     func(uint64) uint64
 }
 
-// procRes is the engine's reply unblocking the processor goroutine.
+// procRes is the engine's completion of a processor's operation.
 type procRes struct {
-	value    uint64
-	ok       bool
-	now      int64
-	canceled bool // the run was aborted; the workload must unwind
+	value uint64
+	ok    bool
 }
 
-// simCancelPanic is the sentinel Proc.do panics with when the engine
-// cancels the run; the workload-goroutine wrapper recovers exactly
-// this type, so workloads unwind without cooperating.
+// simCancelPanic is the sentinel Proc.do panics with when a run ends
+// before the workload does; the blocking-workload adapter recovers
+// exactly this type, so workloads unwind without cooperating.
 type simCancelPanic struct{}
 
 // procStatus tracks where a processor is in the engine's event loop.
@@ -77,20 +75,17 @@ const (
 	statusDone
 )
 
-// Proc is the processor-side handle a workload runs against. On the
-// direct path the engine pulls ops from prog inline; on the shim path
-// the blocking methods ferry ops over the channel pair, and the
-// engine lock-steps every workload goroutine deterministically.
+// Proc is the processor-side handle a workload runs against. The
+// engine pulls ops from prog inline. A blocking workload's prog is the
+// coroutine adapter of RunContext: its blocking methods yield each op
+// and resume with the Result that Next left in last.
 type Proc struct {
 	id  int
 	sys *System
 
-	// prog, when set, is the direct-execution workload; the channels
-	// stay nil. Otherwise RunContext creates the channels and runs the
-	// blocking workload on its own goroutine.
 	prog  Program
-	reqCh chan procOp
-	resCh chan procRes
+	yield func(procOp) bool // the blocking workload's coroutine yield
+	last  Result            // result of the blocking workload's previous op
 
 	// engine-side state
 	status  procStatus
@@ -119,54 +114,23 @@ func (p *Proc) ID() int { return p.id }
 // cycles, as of its last completed operation.
 func (p *Proc) Now() int64 { return p.now }
 
-func (p *Proc) do(op procOp) procRes {
-	p.reqCh <- op
-	r := <-p.resCh
-	if r.canceled {
+func (p *Proc) do(op procOp) Result {
+	if !p.yield(op) {
 		panic(simCancelPanic{})
 	}
-	return r
-}
-
-// firstOp pulls the processor's first operation: Program.Next with a
-// zero Result on the direct path, the workload goroutine's first
-// channel send on the shim path.
-func (p *Proc) firstOp() procOp {
-	if p.prog != nil {
-		op, ok := p.prog.Next(p, Result{})
-		if !ok {
-			return procOp{kind: opDone}
-		}
-		return op.raw
-	}
-	return <-p.reqCh
-}
-
-// nextOp delivers the completed result and pulls the next operation —
-// an inline Program.Next call on the direct path, a resume/park
-// channel round-trip on the shim path.
-func (p *Proc) nextOp(res procRes) procOp {
-	if p.prog != nil {
-		op, ok := p.prog.Next(p, Result{Value: res.value, OK: res.ok, Now: res.now})
-		if !ok {
-			return procOp{kind: opDone}
-		}
-		return op.raw
-	}
-	p.resCh <- res
-	return <-p.reqCh
+	return p.last
 }
 
 // Read loads the word at a.
 func (p *Proc) Read(a addr.Addr) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a}).value
+	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a}).Value
 }
 
 // ReadEx loads the word at a with the compiler-declared
 // read-for-write-privilege instruction (Feature 5 static form). Under
 // protocols without it, it behaves as Read.
 func (p *Proc) ReadEx(a addr.Addr) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpReadEx, addr: a}).value
+	return p.do(procOp{kind: opMem, op: protocol.OpReadEx, addr: a}).Value
 }
 
 // Write stores v at a.
@@ -177,12 +141,12 @@ func (p *Proc) Write(a addr.Addr, v uint64) {
 // ReadClass is Read tagged with a routing class for tiered machines;
 // on a single-tier machine the class is inert.
 func (p *Proc) ReadClass(a addr.Addr, c interconnect.Class) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a, class: c}).value
+	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a, class: c}).Value
 }
 
 // ReadExClass is ReadEx tagged with a routing class.
 func (p *Proc) ReadExClass(a addr.Addr, c interconnect.Class) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpReadEx, addr: a, class: c}).value
+	return p.do(procOp{kind: opMem, op: protocol.OpReadEx, addr: a, class: c}).Value
 }
 
 // WriteClass is Write tagged with a routing class.
@@ -194,7 +158,7 @@ func (p *Proc) WriteClass(a addr.Addr, v uint64, c interconnect.Class) {
 // tiered machine it is served by the instruction buffer and the lower
 // tier rather than the synchronization bus.
 func (p *Proc) InstrFetch(a addr.Addr) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a, class: interconnect.Instr}).value
+	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a, class: interconnect.Instr}).Value
 }
 
 // LockRead performs the paper's lock operation (Section E.3): a read
@@ -206,7 +170,7 @@ func (p *Proc) LockRead(a addr.Addr) uint64 {
 	if !p.sys.proto.Features().HardwareLock {
 		panic(fmt.Sprintf("sim: protocol %q has no hardware lock; lower locking via syncprim", p.sys.proto.Name()))
 	}
-	return p.do(procOp{kind: opMem, op: protocol.OpLock, addr: a, class: interconnect.Sync}).value
+	return p.do(procOp{kind: opMem, op: protocol.OpLock, addr: a, class: interconnect.Sync}).Value
 }
 
 // UnlockWrite performs the paper's unlock operation: a store of v at
@@ -234,14 +198,14 @@ func (p *Proc) LockWait(a addr.Addr) uint64 {
 	if !p.sys.proto.Features().HardwareLock {
 		panic(fmt.Sprintf("sim: protocol %q has no hardware lock", p.sys.proto.Name()))
 	}
-	return p.do(procOp{kind: opLockWait, op: protocol.OpLock, addr: a, class: interconnect.Sync}).value
+	return p.do(procOp{kind: opLockWait, op: protocol.OpLock, addr: a, class: interconnect.Sync}).Value
 }
 
 // RMW atomically applies f to the word at a and returns the old
 // value. The block is fetched with write privilege and the cache held
 // for the duration (Feature 6, method 2).
 func (p *Proc) RMW(a addr.Addr, f func(uint64) uint64) uint64 {
-	return p.do(procOp{kind: opRMW, addr: a, f: f, class: interconnect.Sync}).value
+	return p.do(procOp{kind: opRMW, addr: a, f: f, class: interconnect.Sync}).Value
 }
 
 // RMWMemory atomically applies f to the word at a while holding the
@@ -249,7 +213,7 @@ func (p *Proc) RMW(a addr.Addr, f func(uint64) uint64) uint64 {
 // bypassed; cached copies are invalidated or updated by the write
 // broadcast.
 func (p *Proc) RMWMemory(a addr.Addr, f func(uint64) uint64) uint64 {
-	return p.do(procOp{kind: opRMWMem, addr: a, f: f, class: interconnect.Sync}).value
+	return p.do(procOp{kind: opRMWMem, addr: a, f: f, class: interconnect.Sync}).Value
 }
 
 // TryWrite stores v at a only if the cache still holds the block; it
@@ -257,7 +221,7 @@ func (p *Proc) RMWMemory(a addr.Addr, f func(uint64) uint64) uint64 {
 // method 3: a miss means the block was stolen between the read and
 // the write, and the instruction must be aborted and retried.
 func (p *Proc) TryWrite(a addr.Addr, v uint64) bool {
-	return p.do(procOp{kind: opTryWrite, addr: a, value: v, class: interconnect.Sync}).ok
+	return p.do(procOp{kind: opTryWrite, addr: a, value: v, class: interconnect.Sync}).OK
 }
 
 // WriteBlock overwrites the whole block containing a with vals

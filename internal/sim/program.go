@@ -22,13 +22,12 @@ import (
 // suspended while the engine consumes the buffer, so in-place reuse
 // across calls is safe and allocation-free.
 //
-// The blocking func(*Proc) API (System.Run/RunContext) remains as a
-// compatibility shim layered on the same engine: each blocking
-// workload runs on one goroutine and its Proc calls are ferried to
-// the engine over a channel pair. Programs and the shim produce
-// byte-identical event logs, final machine state, and statistics for
-// the same operation sequence — the engine core is shared; only the
-// op-delivery mechanism differs.
+// The blocking func(*Proc) API (System.Run/RunContext) runs on the
+// same event loop: each blocking workload is adapted into a Program by
+// running it as an iter.Pull coroutine whose Proc calls yield their
+// ops. Programs and blocking workloads produce byte-identical event
+// logs, final machine state, and statistics for the same operation
+// sequence — only the op-delivery mechanism differs.
 type Program interface {
 	Next(p *Proc, last Result) (Op, bool)
 }
@@ -148,8 +147,8 @@ func IOOp(kind ioKind, a addr.Addr, vals []uint64) Op {
 	return Op{procOp{kind: opIO, io: kind, addr: a, vals: vals, class: interconnect.Sync}}
 }
 
-// RunPrograms executes one Program per processor on the direct
-// (goroutine-free) path; progs[i] runs on processor i, nil entries
+// RunPrograms executes one Program per processor, stepped inline by
+// the event loop; progs[i] runs on processor i, nil entries
 // idle. It returns once every program has finished, or an error on
 // deadlock or cycle overrun.
 func (s *System) RunPrograms(progs []Program) error {
@@ -158,8 +157,7 @@ func (s *System) RunPrograms(progs []Program) error {
 
 // RunProgramsContext is RunPrograms with cancellation: ctx expiry is
 // checked before every event, so the loop aborts within one event of
-// the deadline — no goroutines exist on this path, so nothing needs
-// unwinding.
+// the deadline. The engine itself holds nothing to unwind.
 func (s *System) RunProgramsContext(ctx context.Context, progs []Program) error {
 	if s.started {
 		return fmt.Errorf("sim: a System runs exactly once; build a fresh one")
@@ -168,7 +166,11 @@ func (s *System) RunProgramsContext(ctx context.Context, progs []Program) error 
 	for i, p := range s.Procs {
 		if i < len(progs) && progs[i] != nil {
 			p.prog = progs[i]
-			p.pending = p.firstOp()
+			if op, ok := p.prog.Next(p, Result{}); ok {
+				p.pending = op.raw
+			} else {
+				p.pending = procOp{kind: opDone}
+			}
 		} else {
 			p.pending = procOp{kind: opDone} // no program: idle
 		}

@@ -3,9 +3,9 @@
 // workload. The engine executes workloads directly: a Program's Next
 // method is called inline from the event loop (no goroutines, no
 // channels, no per-op synchronization), so the hot loop is a plain
-// single-threaded function. The blocking func(*Proc) API remains as a
-// compatibility shim — each blocking workload runs as one goroutine
-// lock-stepped over a channel pair — and produces bit-identical runs.
+// single-threaded function. Blocking func(*Proc) workloads run on the
+// same loop as iter.Pull coroutines adapted into Programs, and
+// produce bit-identical runs.
 package sim
 
 import (
@@ -306,68 +306,18 @@ func (s *System) Stats() *stats.Counters {
 	return &out
 }
 
-// Run executes one workload function per processor (workloads[i] runs
-// on processor i; missing entries idle) on the goroutine shim. It
-// returns once every workload has finished, or an error on deadlock
-// or cycle overrun. Workloads that can be expressed as a Program
-// should prefer RunPrograms — same semantics, no goroutines.
-func (s *System) Run(workloads []func(*Proc)) error {
-	return s.RunContext(context.Background(), workloads)
-}
-
-// RunContext is Run with cancellation: when ctx ends, the event loop
-// aborts between events, unblocks every live workload goroutine (their
-// Proc calls panic with an internal sentinel the goroutine wrapper
-// recovers, so none leak), and returns an error wrapping ctx.Err().
-// The System is abandoned mid-flight and — like any System after Run —
-// must not be reused.
-func (s *System) RunContext(ctx context.Context, workloads []func(*Proc)) error {
-	if s.started {
-		return fmt.Errorf("sim: a System runs exactly once; build a fresh one")
-	}
-	s.started = true
-	for i, p := range s.Procs {
-		w := func(*Proc) {}
-		if i < len(workloads) && workloads[i] != nil {
-			w = workloads[i]
-		}
-		p.reqCh = make(chan procOp, 1)
-		p.resCh = make(chan procRes, 1)
-		go func(p *Proc, w func(*Proc)) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, canceled := r.(simCancelPanic); !canceled {
-						panic(r) // a genuine workload bug: keep crashing
-					}
-				}
-				p.reqCh <- procOp{kind: opDone}
-			}()
-			w(p)
-		}(p, w)
-	}
-	for _, p := range s.Procs {
-		p.pending = <-p.reqCh
-		p.status = statusReady
-		s.ready.push(p.id, 0)
-	}
-	return s.run(ctx)
-}
-
-// run is the event loop shared by the direct and shim paths.
+// run is the event loop.
 func (s *System) run(ctx context.Context) error {
 	// ctx.Done() is nil for context.Background(), making the per-event
 	// cancellation check a single nil comparison on uncancellable runs.
 	done := ctx.Done()
 	for s.doneN < len(s.Procs) {
 		if done != nil {
-			// Checked before every event: between events the engine is
-			// quiescent (on the shim path every live workload goroutine
-			// is parked on its result channel), which is exactly when
-			// cancelRun may unwind — and the abort lands within one
-			// event of ctx expiry.
+			// Checked before every event, so the abort lands within
+			// one event of ctx expiry.
 			select {
 			case <-done:
-				return s.cancelRun(ctx)
+				return fmt.Errorf("sim: run canceled at cycle %d: %w", s.Clock(), ctx.Err())
 			default:
 			}
 		}
@@ -406,7 +356,7 @@ func (s *System) run(ctx context.Context) error {
 			s.ready.remove(rp)
 			s.clock = rt
 			if err := s.step(s.Procs[rp], rt); err != nil {
-				return s.failRun(err)
+				return err
 			}
 		case s.nextBus != -1:
 			s.clock = s.nextGrant
@@ -423,42 +373,6 @@ func (s *System) run(ctx context.Context) error {
 	return nil
 }
 
-// cancelRun unwinds an aborted simulation. On the direct path the
-// loop simply stops stepping programs. On the shim path every
-// processor whose workload has not finished is parked on its result
-// channel (the engine only reaches the loop top with all live
-// goroutines blocked), so a canceled reply wakes each one; Proc.do
-// converts it into the sentinel panic that the Run wrapper recovers.
-// Replies go out non-blocking because a processor whose workload
-// already returned (its opDone still queued) has nobody listening.
-func (s *System) cancelRun(ctx context.Context) error {
-	for _, p := range s.Procs {
-		if p.prog == nil && p.resCh != nil && p.status != statusDone {
-			select {
-			case p.resCh <- procRes{canceled: true}:
-			default:
-			}
-		}
-	}
-	return fmt.Errorf("sim: run canceled at cycle %d: %w", s.Clock(), ctx.Err())
-}
-
-// failRun aborts a run on a routing or lower-tier error. Like
-// cancelRun, every live shim goroutine is parked on its result
-// channel, so a canceled reply unwinds each one; the direct path has
-// nothing to unwind.
-func (s *System) failRun(err error) error {
-	for _, p := range s.Procs {
-		if p.prog == nil && p.resCh != nil && p.status != statusDone {
-			select {
-			case p.resCh <- procRes{canceled: true}:
-			default:
-			}
-		}
-	}
-	return err
-}
-
 func (s *System) deadlockError() error {
 	msg := "sim: deadlock:"
 	for _, p := range s.Procs {
@@ -470,22 +384,15 @@ func (s *System) deadlockError() error {
 }
 
 // respond completes the processor's pending operation at time t and
-// pulls its next one — a direct Program.Next call, or a channel
-// round-trip to the workload goroutine on the shim path. The direct
-// path is inlined here so the wide procOp is copied once, from the
-// program's return value into pending.
+// pulls its next one with an inline Program.Next call, copying the
+// wide procOp once, from the program's return value into pending.
 func (s *System) respond(p *Proc, t int64, res procRes) {
-	res.now = t
 	p.now = t
-	if p.prog != nil {
-		op, ok := p.prog.Next(p, Result{Value: res.value, OK: res.ok, Now: res.now})
-		if !ok {
-			p.pending = procOp{kind: opDone}
-		} else {
-			p.pending = op.raw
-		}
+	op, ok := p.prog.Next(p, Result{Value: res.value, OK: res.ok, Now: t})
+	if !ok {
+		p.pending = procOp{kind: opDone}
 	} else {
-		p.pending = p.nextOp(res)
+		p.pending = op.raw
 	}
 	p.status = statusReady
 	s.ready.push(p.id, t)

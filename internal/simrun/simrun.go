@@ -249,8 +249,8 @@ func BuildMachine(cfg Config) (*sim.System, *aquarius.System, error) {
 
 // buildPrograms constructs the direct-execution Program form of the
 // generator workloads. Trace replay returns nil: its closures carry
-// decoder state that has no resumable form yet, so it stays on the
-// blocking shim.
+// decoder state that has no resumable form yet, so it stays a blocking
+// workload.
 func buildPrograms(cfg Config, l workload.Layout, scheme syncprim.Scheme) []sim.Program {
 	switch cfg.Workload {
 	case "mixed":
@@ -329,9 +329,10 @@ func RunWithHooks(ctx context.Context, cfg Config, h Hooks) (Result, error) {
 		}
 	}
 	l := workload.Layout{G: sys.Geometry()}
-	// Generator workloads run on the direct (goroutine-free) engine;
-	// trace replay falls back to the blocking shim. Both paths produce
-	// byte-identical runs (workload.TestDirectMatchesShim).
+	// Generator workloads run as Programs; trace replay runs as
+	// blocking workloads, which the engine steps as coroutines on the
+	// same event loop. Both forms produce byte-identical runs
+	// (workload.TestDirectMatchesShim).
 	progs := buildPrograms(cfg, l, scheme)
 	var ws []func(*sim.Proc)
 	if progs == nil {

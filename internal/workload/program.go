@@ -13,7 +13,7 @@ import (
 // mirrors Build, producing one resumable sim.Program per processor
 // that yields exactly the operation sequence the blocking closure
 // issues (same RNG streams, same draw points, same counters), so the
-// direct and shim engines stay byte-identical. Compute ops with a
+// Program and blocking forms stay byte-identical. Compute ops with a
 // non-positive cycle count are skipped, matching Proc.Compute.
 
 // Programs returns the direct-execution form of the workload.

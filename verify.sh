@@ -15,8 +15,8 @@
 # transition-table freshness gate (committed goldens must match the
 # tables compiled from the protocol code), a live
 # cachesyncd smoke (start, probe — including the -pprof diagnostic
-# mount — graceful stop), the steady-state allocation gate of the
-# direct-execution engine, and the six committed-baseline gates
+# mount — graceful stop), the steady-state allocation gates of the
+# direct and blocking workload paths, and the six committed-baseline gates
 # (mcheck perf, sim-engine ops/s, two-tier Aquarius cycles+broadcast
 # fraction, artifact manifest, serving
 # throughput, and cluster throughput — the last driven through a
@@ -47,6 +47,10 @@ echo "== go test -race (mcheck + sim smoke)"
 go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume' ./internal/mcheck/
 go test -race -short ./internal/sim/
 
+echo "== go test -race (blocking workloads as coroutines: differential gate, sync primitives)"
+go test -race -short -run 'TestDirectMatchesShim' ./internal/workload/
+go test -race -short ./internal/syncprim/
+
 echo "== go test -race (runner pool, parallel sweep executor, bus, scheduler queue)"
 go test -race -short ./internal/runner/ ./internal/simrun/ ./internal/bus/ ./internal/schedqueue/
 
@@ -76,11 +80,11 @@ go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
 go test -run 'FuzzRunFileDecode' ./internal/mcheck/
 
-echo "== direct-vs-shim differential gate (13 protocols x generators)"
-go test -run 'TestDirectMatchesShim' ./internal/workload/
+echo "== direct-vs-blocking differential gate + generator goldens (13 protocols x generators)"
+go test -run 'TestDirectMatchesShim|TestBuildGoldens' ./internal/workload/
 
-echo "== steady-state allocation gate (0 allocs/op in the sim hot loop)"
-go test -run 'TestSimSteadyStateAllocs' .
+echo "== steady-state allocation gate (0 allocs/op in the sim hot loop, direct and blocking)"
+go test -run 'TestSimSteadyStateAllocs|TestBlockingSteadyStateAllocs' .
 
 echo "== benchmark-regression gate"
 if [ -f BENCH_mcheck.json ]; then
