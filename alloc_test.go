@@ -5,27 +5,45 @@ import (
 	"testing"
 
 	"cachesync"
+	"cachesync/internal/sim"
 	"cachesync/internal/workload"
 )
 
+// blockingWorkloads wraps each program in a blocking closure that
+// issues its ops through Proc.Do: the same op stream, delivered through
+// Machine.Run's coroutine adapter instead of stepped inline.
+func blockingWorkloads(progs []cachesync.Program) []cachesync.Workload {
+	ws := make([]cachesync.Workload, len(progs))
+	for i, prog := range progs {
+		ws[i] = func(p *cachesync.Proc) {
+			var r sim.Result
+			for {
+				op, ok := prog.Next(p, r)
+				if !ok {
+					return
+				}
+				r = p.Do(op)
+			}
+		}
+	}
+	return ws
+}
+
 // mixedRunMallocs runs one mixed p8 simulation and returns the total
 // heap allocations it made: on the direct engine (RunPrograms), or with
-// blocking set, through the blocking workloads of Machine.Run.
+// blocking set, through blocking workloads on Machine.Run.
 func mixedRunMallocs(t *testing.T, ops int, blocking bool) uint64 {
 	t.Helper()
 	m, err := cachesync.New(cachesync.Config{Protocol: "bitar", Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := workload.Mixed{Ops: ops, SharedBlocks: 8, PrivBlocks: 24,
-		SharedFrac: 0.3, WriteFrac: 0.35, Seed: 1}
-	var run func() error
+	ps := workload.Mixed{Ops: ops, SharedBlocks: 8, PrivBlocks: 24,
+		SharedFrac: 0.3, WriteFrac: 0.35, Seed: 1}.Programs(m.Layout(), 8)
+	run := func() error { return m.RunPrograms(ps) }
 	if blocking {
-		ws := w.Build(m.Layout(), 8)
+		ws := blockingWorkloads(ps)
 		run = func() error { return m.Run(ws) }
-	} else {
-		ps := w.Programs(m.Layout(), 8)
-		run = func() error { return m.RunPrograms(ps) }
 	}
 	var before, after runtime.MemStats
 	runtime.GC()

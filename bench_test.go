@@ -219,34 +219,13 @@ func BenchmarkEngineLockHandoff(b *testing.B) {
 	b.ReportMetric(float64(4*25*b.N)/b.Elapsed().Seconds(), "handoffs/s")
 }
 
-// BenchmarkEngineMixedReferences measures simulated memory references
-// per real second across protocols.
-func BenchmarkEngineMixedReferences(b *testing.B) {
-	for _, proto := range []string{"bitar", "illinois", "dragon", "writethrough"} {
-		b.Run(proto, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := cachesync.New(cachesync.Config{Protocol: proto, Procs: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				l := m.Layout()
-				ws := workload.Mixed{Ops: 500, SharedBlocks: 8, PrivBlocks: 16,
-					SharedFrac: 0.3, WriteFrac: 0.35, Seed: 1}.Build(l, 4)
-				if err := m.Run(ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(4*500*b.N)/b.Elapsed().Seconds(), "refs/s")
-		})
-	}
-}
-
 // BenchmarkSimEngine measures the direct-execution engine core:
 // simulated operations per real second with Program workloads pulled
 // inline by the event loop. The shim variant runs the identical
-// operation stream through the blocking func(*Proc) API, so the delta
-// is the cost of the coroutine switch into and out of each blocking
-// workload per operation. BENCH_sim.json (via cmd/cachesim
+// operation stream through the blocking func(*Proc) API (closures
+// issuing each program's ops with Proc.Do), so the delta is the cost
+// of the coroutine switch into and out of each blocking workload per
+// operation. BENCH_sim.json (via cmd/cachesim
 // -bench-json) gates regressions on these numbers.
 func BenchmarkSimEngine(b *testing.B) {
 	const procs, ops = 8, 2000
@@ -292,7 +271,7 @@ func BenchmarkSimEngine(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := m.Run(mixed.Build(m.Layout(), procs)); err != nil {
+			if err := m.Run(blockingWorkloads(mixed.Programs(m.Layout(), procs))); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -248,12 +248,19 @@ func main() {
 		os.Exit(runSweep(base, protos, counts, remotes))
 	}
 
+	os.Exit(runProtocols(os.Stdout, os.Stderr, base, protos, *workers))
+}
+
+// runProtocols runs base once per protocol through the runner and
+// returns the process exit code: 2 when a run fails (a bad config
+// included), else finish's.
+func runProtocols(w, ew io.Writer, base simrun.Config, protos []string, workers int) int {
 	// No result cache here: cachesim is the interactive exploration
 	// driver, and trace-file contents are not part of the cache key.
-	res, err := runner.Run(jobs(base, protos), runner.Options{Workers: *workers})
+	res, err := runner.Run(jobs(base, protos), runner.Options{Workers: workers})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(ew, err)
+		return 2
 	}
-	os.Exit(finish(os.Stdout, os.Stderr, res))
+	return finish(w, ew, res)
 }

@@ -82,3 +82,23 @@ func TestInjectedRunMatchesDirectRun(t *testing.T) {
 func finishCode(res *runner.Result) int {
 	return finish(io.Discard, io.Discard, res)
 }
+
+// TestBadSchemeExitsTwo: an unknown -scheme name, or cachelock on a
+// protocol without the hardware lock, is a usage error (exit 2), not a
+// run under some other scheme.
+func TestBadSchemeExitsTwo(t *testing.T) {
+	for _, c := range []struct{ proto, scheme, want string }{
+		{"bitar", "bogus", `unknown lock scheme "bogus"`},
+		{"illinois", "cachelock", `protocol "illinois" lacks`},
+	} {
+		cfg := baseTestCfg()
+		cfg.Workload, cfg.Iters, cfg.Scheme = "lock", 5, c.scheme
+		var out, errOut strings.Builder
+		if code := runProtocols(&out, &errOut, cfg, []string{c.proto}, 1); code != 2 {
+			t.Errorf("%s -scheme %s: exit %d, want 2\n%s", c.proto, c.scheme, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), c.want) {
+			t.Errorf("%s -scheme %s: stderr %q, want it to contain %q", c.proto, c.scheme, errOut.String(), c.want)
+		}
+	}
+}

@@ -159,7 +159,7 @@ func A4UnitState() *stats.Table {
 		l := workload.Layout{G: s.Geometry()}
 		w := workload.LockContention{Locks: 1, Iters: 25, HoldCycles: 5, CSWrites: 1,
 			Scheme: syncprim.CacheLock, Seed: 53}
-		mustRun(s, w.Build(l, 4))
+		mustRunPrograms(s, w.Programs(l, 4))
 		words := s.Counts.Get("bus.words")
 		if unit == 16 {
 			whole = words

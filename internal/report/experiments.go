@@ -31,8 +31,16 @@ func rig(protoName string, procs, ways int, unitMode bool, geom addr.Geometry) (
 
 var g4 = addr.MustGeometry(4, 4)
 
+// mustRun runs hand-written blocking scenario workloads.
 func mustRun(s *sim.System, ws []func(*sim.Proc)) {
 	if err := s.Run(ws); err != nil {
+		panic(fmt.Sprintf("report: experiment run failed: %v", err))
+	}
+}
+
+// mustRunPrograms runs a generator's programs.
+func mustRunPrograms(s *sim.System, progs []sim.Program) {
+	if err := s.RunPrograms(progs); err != nil {
 		panic(fmt.Sprintf("report: experiment run failed: %v", err))
 	}
 }
@@ -61,7 +69,7 @@ func E1LockCost() *stats.Table {
 		s, l := rig(c.proto, procs, 64, false, g4)
 		w := workload.LockContention{Locks: 1, Iters: iters, HoldCycles: 20, ThinkCycles: 10,
 			CSWrites: 2, Scheme: c.scheme, Seed: 17}
-		mustRun(s, w.Build(l, procs))
+		mustRunPrograms(s, w.Programs(l, procs))
 		pairs := int64(procs * iters)
 		txns := s.Bus.Counts.Total("bus.")
 		cycles := s.Counts.Get("bus.cycles")
@@ -93,7 +101,7 @@ func E2BusyWait() *stats.Table {
 			s, l := rig(c.proto, procs, 64, false, g4)
 			w := workload.LockContention{Locks: 1, Iters: 20, HoldCycles: 40,
 				Scheme: c.scheme, Seed: 23}
-			mustRun(s, w.Build(l, procs))
+			mustRunPrograms(s, w.Programs(l, procs))
 			acq := int64(procs * 20)
 			// Lock-related traffic: everything except the (absent)
 			// data traffic — these workloads only touch the lock.
@@ -119,7 +127,7 @@ func E3SharedData() *stats.Table {
 			s, l := rig(proto, 2, 64, false, g4)
 			scheme := syncprim.SchemeFor(s.Protocol())
 			w := workload.ProducerConsumer{Items: 25, WritesPerItem: n, Scheme: scheme}
-			mustRun(s, w.Build(l, 2))
+			mustRunPrograms(s, w.Programs(l, 2))
 			row = append(row, perOp(s.Counts.Get("bus.cycles"), 25))
 		}
 		t.AddRow(row...)
@@ -142,7 +150,7 @@ func E4TransferUnits() *stats.Table {
 			s, l := rig("bitar", 4, 64, unitMode, addr.MustGeometry(bw, unit))
 			w := workload.LockContention{Locks: 1, Iters: 25, HoldCycles: 5, CSWrites: 1,
 				Scheme: syncprim.CacheLock, Seed: 29}
-			mustRun(s, w.Build(l, 4))
+			mustRunPrograms(s, w.Programs(l, 4))
 			words[i] = s.Counts.Get("bus.words")
 		}
 		saving := "n/a"
@@ -221,7 +229,7 @@ func E6ReadForWrite() *stats.Table {
 	for _, c := range cases {
 		s, l := rig(c.proto, 2, 128, false, g4)
 		w := workload.PrivateRuns{Blocks: 32, Sweeps: 2, WriteBack: 1.0, Static: c.static, Seed: 31}
-		mustRun(s, w.Build(l, 2))
+		mustRunPrograms(s, w.Programs(l, 2))
 		t.AddRow(c.proto, c.variant,
 			fmt.Sprintf("%d", s.Bus.Counts.Total("bus.")),
 			fmt.Sprintf("%d", s.Counts.Get("bus.cycles")),
@@ -269,7 +277,7 @@ func E8WriteNoFetch() *stats.Table {
 		s, l := rig(proto, 2, 64, false, g4)
 		const switches, blocks = 10, 4
 		w := workload.StateSave{Switches: switches, StateBlocks: blocks}
-		mustRun(s, w.Build(l, 2))
+		mustRunPrograms(s, w.Programs(l, 2))
 		fetches := s.Bus.Counts.Get("bus.read") + s.Bus.Counts.Get("bus.readx")
 		t.AddRow(proto, check(s.Protocol().Features().WriteNoFetch),
 			perOp(s.Counts.Get("bus.cycles"), switches*2),
@@ -288,7 +296,7 @@ func E9Protocols() *stats.Table {
 		s, l := rig(name, 4, 32, false, g4)
 		w := workload.Mixed{Ops: 400, SharedBlocks: 8, PrivBlocks: 24,
 			SharedFrac: 0.3, WriteFrac: 0.35, Seed: 37}
-		mustRun(s, w.Build(l, 4))
+		mustRunPrograms(s, w.Programs(l, 4))
 		agg := s.Stats()
 		// Section D.1: write-in reduces "bus traffic and concomitant
 		// processor idle time" — report the idle fraction directly.
@@ -324,7 +332,7 @@ func E10RudolphSegall() *stats.Table {
 		s, l := rig(c.proto, procs, 64, false, g4)
 		w := workload.LockContention{Locks: 1, Iters: iters, HoldCycles: 30,
 			Scheme: c.scheme, Seed: 41}
-		mustRun(s, w.Build(l, procs))
+		mustRunPrograms(s, w.Programs(l, procs))
 		acq := int64(procs * iters)
 		t.AddRow(c.label,
 			perOp(s.Bus.Counts.Total("bus."), acq),
@@ -347,7 +355,7 @@ func E11Directory() *stats.Table {
 		// rare, writes mostly hit already-dirty blocks.
 		w := workload.Mixed{Ops: 2000, SharedBlocks: 4, PrivBlocks: 12,
 			SharedFrac: 0.1, WriteFrac: 0.30, Seed: 43}
-		mustRun(s, w.Build(l, 4))
+		mustRunPrograms(s, w.Programs(l, 4))
 		agg := s.Stats()
 		refs := agg.Total("proc.hit.") + agg.Total("proc.miss.") + agg.Total("proc.busop.")
 		whc := agg.Get("dir.write-hit-clean")
@@ -472,7 +480,7 @@ func E15Broadcast() *stats.Table {
 			s, l := rig(proto, sharers, 32, false, g4)
 			w := workload.Mixed{Ops: 150, SharedBlocks: 6, PrivBlocks: 8,
 				SharedFrac: 0.6, WriteFrac: 0.35, Seed: 47}
-			mustRun(s, w.Build(l, sharers))
+			mustRunPrograms(s, w.Programs(l, sharers))
 			org := "broadcast"
 			if s.Protocol().Features().PartialBroadcast {
 				org = "directory"
@@ -615,7 +623,7 @@ func E18DualBus() *stats.Table {
 			l := workload.Layout{G: s.Geometry()}
 			w := workload.Mixed{Ops: 300, SharedBlocks: 8, PrivBlocks: 24,
 				SharedFrac: 0.3, WriteFrac: 0.35, Seed: 59}
-			mustRun(s, w.Build(l, procs))
+			mustRunPrograms(s, w.Programs(l, procs))
 			clocks[i] = s.Clock()
 		}
 		t.AddRow(fmt.Sprintf("%d", procs),
@@ -695,13 +703,6 @@ func AllExperiments() []*stats.Table {
 		E15Broadcast(), E16WorkWhileWaiting(), E17SleepWait(),
 		E18DualBus(), E19Aquarius(), E20BroadcastFraction(),
 		E21Disaggregated(),
-	}
-}
-
-// mustRunPrograms is mustRun for direct-execution programs.
-func mustRunPrograms(s *sim.System, progs []sim.Program) {
-	if err := s.RunPrograms(progs); err != nil {
-		panic(fmt.Sprintf("report: experiment run failed: %v", err))
 	}
 }
 

@@ -107,6 +107,8 @@ func TestSimulateValidation(t *testing.T) {
 		simrun.Config{Protocol: "no-such-protocol"},
 		simrun.Config{Protocol: "bitar", Workload: "trace", TraceFile: "/etc/passwd"},
 		simrun.Config{Protocol: "bitar", Procs: 99},
+		simrun.Config{Protocol: "bitar", Scheme: "bogus"},
+		simrun.Config{Protocol: "illinois", Workload: "lock", Scheme: "cachelock"},
 		map[string]any{"protocol": "bitar", "bogus_field": 1},
 	}
 	for i, c := range cases {

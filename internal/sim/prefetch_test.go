@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"cachesync/internal/addr"
+	"cachesync/internal/protocol"
 )
 
 func TestLockPrefetchUncontended(t *testing.T) {
@@ -167,4 +169,49 @@ func TestPrefetchDeterminism(t *testing.T) {
 	if a, b := runOnce(), runOnce(); a != b {
 		t.Errorf("prefetch runs diverge: %d vs %d", a, b)
 	}
+}
+
+// TestLockOpsNeedHardwareLock: a lock, lock-prefetch or lock-wait op
+// on a protocol without the hardware lock fails the run with an error
+// naming the protocol, whether a Program or a blocking workload issues
+// it.
+func TestLockOpsNeedHardwareLock(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   Op
+		call func(*Proc)
+	}{
+		{"lock", LockReadOp(0), func(p *Proc) { p.LockRead(0) }},
+		{"prefetch", LockPrefetchOp(0), func(p *Proc) { p.LockPrefetch(0) }},
+		{"wait", LockWaitOp(0), func(p *Proc) { p.LockWait(0) }},
+	} {
+		for _, blocking := range []bool{false, true} {
+			cfg := DefaultConfig(protocol.MustNew("illinois"))
+			cfg.Procs = 2
+			s := New(cfg)
+			var err error
+			if blocking {
+				err = s.Run([]func(*Proc){nil, c.call})
+			} else {
+				err = s.RunPrograms([]Program{nil, &onceProg{op: c.op}})
+			}
+			if err == nil || !strings.Contains(err.Error(), `protocol "illinois" has no hardware lock`) {
+				t.Errorf("%s (blocking=%v): err = %v, want the no-hardware-lock error", c.name, blocking, err)
+			}
+		}
+	}
+}
+
+// onceProg issues one op.
+type onceProg struct {
+	op   Op
+	done bool
+}
+
+func (g *onceProg) Next(*Proc, Result) (Op, bool) {
+	if g.done {
+		return Op{}, false
+	}
+	g.done = true
+	return g.op, true
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"cachesync/internal/addr"
 	"cachesync/internal/interconnect"
 	"cachesync/internal/protocol"
@@ -121,16 +119,16 @@ func (p *Proc) do(op procOp) Result {
 	return p.last
 }
 
+// Do issues o from a blocking workload and returns its Result: the
+// blocking counterpart of yielding o from a Program. It lets blocking
+// code drive the same Op sequences Programs build (syncprim's lock
+// steps, a generator's Programs). Unlike Compute, Do issues a
+// ComputeOp of n <= 0 as a zero-time op.
+func (p *Proc) Do(o Op) Result { return p.do(o.raw) }
+
 // Read loads the word at a.
 func (p *Proc) Read(a addr.Addr) uint64 {
 	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a}).Value
-}
-
-// ReadEx loads the word at a with the compiler-declared
-// read-for-write-privilege instruction (Feature 5 static form). Under
-// protocols without it, it behaves as Read.
-func (p *Proc) ReadEx(a addr.Addr) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpReadEx, addr: a}).Value
 }
 
 // Write stores v at a.
@@ -142,11 +140,6 @@ func (p *Proc) Write(a addr.Addr, v uint64) {
 // on a single-tier machine the class is inert.
 func (p *Proc) ReadClass(a addr.Addr, c interconnect.Class) uint64 {
 	return p.do(procOp{kind: opMem, op: protocol.OpRead, addr: a, class: c}).Value
-}
-
-// ReadExClass is ReadEx tagged with a routing class.
-func (p *Proc) ReadExClass(a addr.Addr, c interconnect.Class) uint64 {
-	return p.do(procOp{kind: opMem, op: protocol.OpReadEx, addr: a, class: c}).Value
 }
 
 // WriteClass is Write tagged with a routing class.
@@ -165,11 +158,8 @@ func (p *Proc) InstrFetch(a addr.Addr) uint64 {
 // of the word at a with the processor lock line asserted. It blocks —
 // busy-waiting via the busy-wait register, with no bus retries —
 // until the lock is acquired, and returns the word's value. Only
-// protocols with HardwareLock support it.
+// protocols with HardwareLock support it; on others the run fails.
 func (p *Proc) LockRead(a addr.Addr) uint64 {
-	if !p.sys.proto.Features().HardwareLock {
-		panic(fmt.Sprintf("sim: protocol %q has no hardware lock; lower locking via syncprim", p.sys.proto.Name()))
-	}
 	return p.do(procOp{kind: opMem, op: protocol.OpLock, addr: a, class: interconnect.Sync}).Value
 }
 
@@ -185,9 +175,6 @@ func (p *Proc) UnlockWrite(a addr.Addr, v uint64) {
 // Follow with LockWait to join the lock. A second prefetch while one
 // is outstanding is a no-op.
 func (p *Proc) LockPrefetch(a addr.Addr) {
-	if !p.sys.proto.Features().HardwareLock {
-		panic(fmt.Sprintf("sim: protocol %q has no hardware lock", p.sys.proto.Name()))
-	}
 	p.do(procOp{kind: opLockPrefetch, op: protocol.OpLock, addr: a, class: interconnect.Sync})
 }
 
@@ -195,9 +182,6 @@ func (p *Proc) LockPrefetch(a addr.Addr) {
 // and returns the locked word. Without a prior prefetch it behaves as
 // LockRead.
 func (p *Proc) LockWait(a addr.Addr) uint64 {
-	if !p.sys.proto.Features().HardwareLock {
-		panic(fmt.Sprintf("sim: protocol %q has no hardware lock", p.sys.proto.Name()))
-	}
 	return p.do(procOp{kind: opLockWait, op: protocol.OpLock, addr: a, class: interconnect.Sync}).Value
 }
 
@@ -230,13 +214,6 @@ func (p *Proc) WriteBlock(a addr.Addr, vals []uint64) {
 	cp := make([]uint64, len(vals))
 	copy(cp, vals)
 	p.do(procOp{kind: opBlockWrite, addr: a, vals: cp})
-}
-
-// WriteBlockClass is WriteBlock tagged with a routing class.
-func (p *Proc) WriteBlockClass(a addr.Addr, vals []uint64, c interconnect.Class) {
-	cp := make([]uint64, len(vals))
-	copy(cp, vals)
-	p.do(procOp{kind: opBlockWrite, addr: a, vals: cp, class: c})
 }
 
 // Compute advances the processor's local clock by n cycles of

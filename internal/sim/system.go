@@ -412,9 +412,14 @@ func (s *System) slot(p *Proc) *opCtx {
 // every event — so callees must finish with it before respond installs
 // the next one. On a tiered machine (lower attached) memory
 // references route by class first; an unroutable reference is an
-// error that aborts the run.
+// error that aborts the run, and so is a lock op (lock-read, prefetch
+// or wait: all three carry OpLock) on a protocol without the hardware
+// lock.
 func (s *System) step(p *Proc, t int64) error {
 	op := &p.pending
+	if op.op == protocol.OpLock && !s.feats.HardwareLock {
+		return fmt.Errorf("sim: protocol %q has no hardware lock; lower locking via syncprim", s.proto.Name())
+	}
 	switch op.kind {
 	case opDone:
 		p.status = statusDone

@@ -116,14 +116,17 @@ func (c Config) Hash() string {
 // Validate rejects configurations the engine would panic on or that a
 // network caller must not request, before any work happens.
 func (c Config) Validate() error {
-	if _, err := protocol.New(c.Protocol); err != nil {
+	p, err := protocol.New(c.Protocol)
+	if err != nil {
 		return err
 	}
 	if c.Inject != "" {
-		p := protocol.MustNew(c.Protocol)
 		if _, err := mcheck.Mutate(p, c.Inject); err != nil {
 			return err
 		}
+	}
+	if _, err := syncprim.ParseScheme(c.Scheme, p); err != nil {
+		return err
 	}
 	if c.Procs < 1 || c.Procs > 64 {
 		return fmt.Errorf("simrun: procs %d out of range [1,64]", c.Procs)
@@ -219,15 +222,6 @@ func buildSimConfig(cfg Config) (sim.Config, error) {
 	}, nil
 }
 
-// BuildSystem assembles the one-tier simulator for cfg (normalized).
-func BuildSystem(cfg Config) (*sim.System, error) {
-	sc, err := buildSimConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.New(sc), nil
-}
-
 // BuildMachine assembles the machine cfg asks for: always the
 // synchronization-tier sim.System, plus — with Tiers 2 — the routed
 // two-tier Aquarius system wrapped around it.
@@ -247,50 +241,25 @@ func BuildMachine(cfg Config) (*sim.System, *aquarius.System, error) {
 	return aq.Sync, aq, nil
 }
 
-// buildPrograms constructs the direct-execution Program form of the
-// generator workloads. Trace replay returns nil: its closures carry
-// decoder state that has no resumable form yet, so it stays a blocking
-// workload.
-func buildPrograms(cfg Config, l workload.Layout, scheme syncprim.Scheme) []sim.Program {
+// buildPrograms constructs the per-processor programs of cfg's
+// workload: a generator's Programs, or the decoded trace's.
+func buildPrograms(cfg Config, l workload.Layout, scheme syncprim.Scheme) ([]sim.Program, error) {
 	switch cfg.Workload {
 	case "mixed":
 		return workload.Mixed{Ops: cfg.Ops, SharedBlocks: 8, PrivBlocks: 24,
-			SharedFrac: 0.3, WriteFrac: 0.35, Seed: cfg.Seed}.Programs(l, cfg.Procs)
+			SharedFrac: 0.3, WriteFrac: 0.35, Seed: cfg.Seed}.Programs(l, cfg.Procs), nil
 	case "lock":
 		return workload.LockContention{Locks: 1, Iters: cfg.Iters, HoldCycles: cfg.Hold,
-			ThinkCycles: 10, CSWrites: 2, Scheme: scheme, Seed: cfg.Seed}.Programs(l, cfg.Procs)
+			ThinkCycles: 10, CSWrites: 2, Scheme: scheme, Seed: cfg.Seed}.Programs(l, cfg.Procs), nil
 	case "pc":
-		return workload.ProducerConsumer{Items: cfg.Iters, WritesPerItem: 4, Scheme: scheme}.Programs(l, cfg.Procs)
+		return workload.ProducerConsumer{Items: cfg.Iters, WritesPerItem: 4, Scheme: scheme}.Programs(l, cfg.Procs), nil
 	case "queues":
-		return workload.ServiceQueues{Requests: cfg.Iters, Scheme: scheme, Seed: cfg.Seed}.Programs(l, cfg.Procs)
+		return workload.ServiceQueues{Requests: cfg.Iters, Scheme: scheme, Seed: cfg.Seed}.Programs(l, cfg.Procs), nil
 	case "statesave":
-		return workload.StateSave{Switches: cfg.Iters, StateBlocks: 4}.Programs(l, cfg.Procs)
+		return workload.StateSave{Switches: cfg.Iters, StateBlocks: 4}.Programs(l, cfg.Procs), nil
 	case "lockdata":
 		return workload.LockedData{Locks: 1, Iters: cfg.Iters, Records: 6, Instrs: 4,
-			Think: cfg.Hold, Scheme: scheme, Seed: cfg.Seed}.Programs(l, cfg.Procs)
-	default:
-		return nil
-	}
-}
-
-// buildWorkload constructs the per-processor workload closures.
-func buildWorkload(cfg Config, l workload.Layout, scheme syncprim.Scheme) ([]func(*sim.Proc), error) {
-	switch cfg.Workload {
-	case "mixed":
-		return workload.Mixed{Ops: cfg.Ops, SharedBlocks: 8, PrivBlocks: 24,
-			SharedFrac: 0.3, WriteFrac: 0.35, Seed: cfg.Seed}.Build(l, cfg.Procs), nil
-	case "lock":
-		return workload.LockContention{Locks: 1, Iters: cfg.Iters, HoldCycles: cfg.Hold,
-			ThinkCycles: 10, CSWrites: 2, Scheme: scheme, Seed: cfg.Seed}.Build(l, cfg.Procs), nil
-	case "pc":
-		return workload.ProducerConsumer{Items: cfg.Iters, WritesPerItem: 4, Scheme: scheme}.Build(l, cfg.Procs), nil
-	case "queues":
-		return workload.ServiceQueues{Requests: cfg.Iters, Scheme: scheme, Seed: cfg.Seed}.Build(l, cfg.Procs), nil
-	case "statesave":
-		return workload.StateSave{Switches: cfg.Iters, StateBlocks: 4}.Build(l, cfg.Procs), nil
-	case "lockdata":
-		return workload.LockedData{Locks: 1, Iters: cfg.Iters, Records: 6, Instrs: 4,
-			Think: cfg.Hold, Scheme: scheme, Seed: cfg.Seed}.Build(l, cfg.Procs), nil
+			Think: cfg.Hold, Scheme: scheme, Seed: cfg.Seed}.Programs(l, cfg.Procs), nil
 	case "trace":
 		f, err := os.Open(cfg.TraceFile)
 		if err != nil {
@@ -301,7 +270,7 @@ func buildWorkload(cfg Config, l workload.Layout, scheme syncprim.Scheme) ([]fun
 		if err != nil {
 			return nil, err
 		}
-		return tr.Workloads(cfg.Procs), nil
+		return tr.Programs(cfg.Procs), nil
 	default:
 		return nil, fmt.Errorf("unknown workload %q", cfg.Workload)
 	}
@@ -313,32 +282,20 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // RunWithHooks is Run with observation points. Cancellation of ctx
-// aborts the simulation mid-run (sim.System.RunContext) and returns
-// the context's error.
+// aborts the simulation mid-run (sim.System.RunProgramsContext) and
+// returns the context's error.
 func RunWithHooks(ctx context.Context, cfg Config, h Hooks) (Result, error) {
 	sys, aq, err := BuildMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	scheme, serr := cachesync.BestScheme(cfg.Protocol)
-	if serr == nil && cfg.Scheme != "" {
-		for s := syncprim.CacheLock; s <= syncprim.TASMemory; s++ {
-			if s.String() == cfg.Scheme {
-				scheme = s
-			}
-		}
+	scheme, err := syncprim.ParseScheme(cfg.Scheme, sys.Protocol())
+	if err != nil {
+		return Result{}, err
 	}
-	l := workload.Layout{G: sys.Geometry()}
-	// Generator workloads run as Programs; trace replay runs as
-	// blocking workloads, which the engine steps as coroutines on the
-	// same event loop. Both forms produce byte-identical runs
-	// (workload.TestDirectMatchesShim).
-	progs := buildPrograms(cfg, l, scheme)
-	var ws []func(*sim.Proc)
-	if progs == nil {
-		if ws, err = buildWorkload(cfg, l, scheme); err != nil {
-			return Result{}, err
-		}
+	progs, err := buildPrograms(cfg, workload.Layout{G: sys.Geometry()}, scheme)
+	if err != nil {
+		return Result{}, err
 	}
 
 	var evlog *sim.EventLog
@@ -366,12 +323,7 @@ func RunWithHooks(ctx context.Context, cfg Config, h Hooks) (Result, error) {
 			}
 		}
 	}
-	if progs != nil {
-		err = sys.RunProgramsContext(ctx, progs)
-	} else {
-		err = sys.RunContext(ctx, ws)
-	}
-	if err != nil {
+	if err := sys.RunProgramsContext(ctx, progs); err != nil {
 		return Result{}, err
 	}
 	if check {

@@ -8,11 +8,11 @@ import (
 	"cachesync/internal/sim"
 )
 
-// This file is the direct-execution (sim.Program) form of the locking
-// primitives: resumable sub-state-machines yielding exactly the
-// operation and counter sequence the blocking Acquire/Release produce,
-// one op at a time, so Program workloads and blocking workloads stay
-// byte-identical.
+// This file holds the one implementation of each scheme's lock
+// sequence: resumable sub-state-machines that yield the acquire and
+// release ops one at a time. Programs step them inline; the blocking
+// Acquire/Release loop over the same steps through sim.Proc.Do, so
+// both forms issue the same ops and counters.
 
 // LockAcquire is a resumable busy-wait lock acquisition. Start arms it
 // and returns the first op of the acquire sequence; feed each Result
@@ -44,12 +44,9 @@ func (l *LockAcquire) Start(s Scheme, a addr.Addr) sim.Op {
 	case CacheLock:
 		l.phase = acqLockRead
 		return sim.LockReadOp(a)
-	case TAS, TTAS:
+	case TAS, TTAS, TASMemory:
 		l.phase = acqRMW
-		return sim.RMWOp(a, tas)
-	case TASMemory:
-		l.phase = acqRMW
-		return sim.RMWMemoryOp(a, tas)
+		return l.rmwOp()
 	}
 	panic(fmt.Sprintf("syncprim: unknown scheme %v", l.scheme))
 }

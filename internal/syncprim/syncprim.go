@@ -15,6 +15,7 @@ package syncprim
 
 import (
 	"fmt"
+	"strings"
 
 	"cachesync/internal/addr"
 	"cachesync/internal/interconnect"
@@ -77,49 +78,40 @@ func tas(v uint64) uint64 {
 	return v
 }
 
-// Acquire obtains the busy-wait lock at a using the given scheme. It
-// blocks (in simulated time) until the lock is held.
-func Acquire(p *sim.Proc, s Scheme, a addr.Addr) {
-	switch s {
-	case CacheLock:
-		p.LockRead(a)
-	case TAS:
-		for p.RMW(a, tas) != 0 {
-			p.Counts.Inc("sync.tas-retry")
-			p.Compute(spinPause)
-		}
-	case TTAS:
-		for {
-			if p.RMW(a, tas) == 0 {
-				break
-			}
-			p.Counts.Inc("sync.tas-retry")
-			// Loop on the copy in the cache until the holder's
-			// release invalidates (or updates) it.
-			for p.ReadClass(a, interconnect.Sync) != 0 {
-				p.Compute(spinPause)
-			}
-		}
-	case TASMemory:
-		for p.RMWMemory(a, tas) != 0 {
-			p.Counts.Inc("sync.tas-retry")
-			p.Compute(spinPause)
-		}
-	default:
-		panic(fmt.Sprintf("syncprim: unknown scheme %v", s))
+// ParseScheme resolves a scheme name for protocol p: the empty name
+// selects SchemeFor(p), and cachelock needs a protocol with the
+// hardware lock. It is the one place scheme names are looked up.
+func ParseScheme(name string, p protocol.Protocol) (Scheme, error) {
+	if name == "" {
+		return SchemeFor(p), nil
 	}
-	p.Counts.Inc("sync.acquire")
+	for i, n := range schemeNames {
+		if n != name {
+			continue
+		}
+		if s := Scheme(i); s != CacheLock || p.Features().HardwareLock {
+			return s, nil
+		}
+		return 0, fmt.Errorf("syncprim: scheme cachelock needs the hardware lock, which protocol %q lacks", p.Name())
+	}
+	return 0, fmt.Errorf("syncprim: unknown lock scheme %q (want %s)", name, strings.Join(schemeNames[:], " | "))
+}
+
+// Acquire obtains the busy-wait lock at a using the given scheme. It
+// blocks (in simulated time) until the lock is held, issuing the op
+// sequence LockAcquire steps.
+func Acquire(p *sim.Proc, s Scheme, a addr.Addr) {
+	var l LockAcquire
+	op := l.Start(s, a)
+	for done := false; !done; {
+		op, done = l.Step(p, p.Do(op))
+	}
 }
 
 // Release frees the busy-wait lock at a.
 func Release(p *sim.Proc, s Scheme, a addr.Addr) {
-	switch s {
-	case CacheLock:
-		p.UnlockWrite(a, 0)
-	default:
-		p.WriteClass(a, 0, interconnect.Sync)
-	}
-	p.Counts.Inc("sync.release")
+	p.Do(StartRelease(s, a))
+	FinishRelease(p)
 }
 
 // RMWMethod selects one of the four atomic read-modify-write

@@ -35,6 +35,26 @@ func TestSchemeFor(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	bitar, illinois := protocol.MustNew("bitar"), protocol.MustNew("illinois")
+	for s := CacheLock; s <= TASMemory; s++ {
+		if got, err := ParseScheme(s.String(), bitar); err != nil || got != s {
+			t.Errorf("ParseScheme(%q, bitar) = %v, %v", s, got, err)
+		}
+	}
+	if got, err := ParseScheme("", illinois); err != nil || got != TTAS {
+		t.Errorf("ParseScheme(\"\", illinois) = %v, %v; want the protocol's best scheme", got, err)
+	}
+	for _, c := range []struct {
+		name string
+		p    protocol.Protocol
+	}{{"bogus", bitar}, {"CacheLock", bitar}, {"cachelock", illinois}} {
+		if _, err := ParseScheme(c.name, c.p); err == nil {
+			t.Errorf("ParseScheme(%q, %s) accepted", c.name, c.p.Name())
+		}
+	}
+}
+
 func TestSchemeStrings(t *testing.T) {
 	if CacheLock.String() != "cachelock" || TTAS.String() != "ttas" {
 		t.Error("scheme names wrong")

@@ -127,7 +127,7 @@ func DecodeBinary(r io.Reader) (*Trace, error) {
 		}
 		// Bound the decoded fields: an adversarial or corrupt stream can
 		// carry uvarints that overflow int (a negative Proc would index
-		// out of bounds in Workloads) or int64 cycle counts.
+		// out of bounds in Programs) or int64 cycle counts.
 		if proc > maxTraceProcs {
 			return nil, fmt.Errorf("trace: implausible processor id %d", proc)
 		}

@@ -128,7 +128,7 @@ func TestClassifiedReplayOnTwoTier(t *testing.T) {
 	cfg := aquarius.DefaultConfig(2)
 	cfg.Routed = true
 	a := aquarius.New(cfg)
-	if err := a.Run(tr.Workloads(2)); err != nil {
+	if err := a.RunPrograms(tr.Programs(2)); err != nil {
 		t.Fatal(err)
 	}
 	st := a.Stats()
@@ -145,7 +145,7 @@ func TestClassifiedReplayOnTwoTier(t *testing.T) {
 	// One-tier replay of the same classified trace still works: classes
 	// are inert without a lower tier.
 	s := sim.New(cfg.Sync)
-	if err := s.Run(tr.Workloads(2)); err != nil {
+	if err := s.RunPrograms(tr.Programs(2)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -168,52 +168,55 @@ func Decode(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// Workloads converts the trace into one workload function per
-// processor, replayable on any simulated machine. Lock events on
-// protocols without the hardware lock are replayed as atomic
-// test-and-set/clear pairs.
-func (t *Trace) Workloads(procs int) []func(*sim.Proc) {
-	streams := make([][]Event, procs)
+// Programs converts the trace into one sim.Program per processor,
+// replayable on any simulated machine; events of processors at or
+// beyond procs are dropped. Lock events need a protocol with the
+// hardware lock: on others the run fails. Compute events of zero or
+// fewer cycles are skipped.
+func (t *Trace) Programs(procs int) []sim.Program {
+	ps := make([]sim.Program, procs)
+	rs := make([]replay, procs)
 	for _, e := range t.Events {
 		if e.Proc < procs {
-			streams[e.Proc] = append(streams[e.Proc], e)
+			rs[e.Proc].evs = append(rs[e.Proc].evs, e)
 		}
 	}
-	ws := make([]func(*sim.Proc), procs)
-	for i := range ws {
-		evs := streams[i]
-		ws[i] = func(p *sim.Proc) {
-			for _, e := range evs {
-				switch e.Kind {
-				case Read:
-					if e.Class != interconnect.Unclassified {
-						p.ReadClass(e.Addr, e.Class)
-					} else {
-						p.Read(e.Addr)
-					}
-				case ReadEx:
-					if e.Class != interconnect.Unclassified {
-						p.ReadExClass(e.Addr, e.Class)
-					} else {
-						p.ReadEx(e.Addr)
-					}
-				case Write:
-					if e.Class != interconnect.Unclassified {
-						p.WriteClass(e.Addr, e.Value, e.Class)
-					} else {
-						p.Write(e.Addr, e.Value)
-					}
-				case Lock:
-					p.LockRead(e.Addr)
-				case Unlock:
-					p.UnlockWrite(e.Addr, e.Value)
-				case Atomic:
-					p.RMW(e.Addr, func(v uint64) uint64 { return v + 1 })
-				case Compute:
-					p.Compute(e.Cycles)
-				}
+	for i := range ps {
+		ps[i] = &rs[i]
+	}
+	return ps
+}
+
+// replay steps one processor's events in order.
+type replay struct {
+	evs []Event
+	i   int
+}
+
+func (r *replay) Next(*sim.Proc, sim.Result) (sim.Op, bool) {
+	for r.i < len(r.evs) {
+		e := &r.evs[r.i]
+		r.i++
+		switch e.Kind {
+		case Read:
+			return sim.ReadOp(e.Addr).WithClass(e.Class), true
+		case ReadEx:
+			return sim.ReadExOp(e.Addr).WithClass(e.Class), true
+		case Write:
+			return sim.WriteOp(e.Addr, e.Value).WithClass(e.Class), true
+		case Lock:
+			return sim.LockReadOp(e.Addr), true
+		case Unlock:
+			return sim.UnlockWriteOp(e.Addr, e.Value), true
+		case Atomic:
+			return sim.RMWOp(e.Addr, increment), true
+		case Compute:
+			if e.Cycles > 0 {
+				return sim.ComputeOp(e.Cycles), true
 			}
 		}
 	}
-	return ws
+	return sim.Op{}, false
 }
+
+func increment(v uint64) uint64 { return v + 1 }

@@ -120,7 +120,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestWorkloadsReplay(t *testing.T) {
+func TestProgramsReplay(t *testing.T) {
 	tr := &Trace{Events: []Event{
 		{Proc: 0, Kind: Write, Addr: 4, Value: 11},
 		{Proc: 0, Kind: Lock, Addr: 0},
@@ -130,7 +130,7 @@ func TestWorkloadsReplay(t *testing.T) {
 		{Proc: 1, Kind: Atomic, Addr: 8},
 	}}
 	s := sim.New(sim.DefaultConfig(core.Protocol{}))
-	if err := s.Run(tr.Workloads(4)); err != nil {
+	if err := s.RunPrograms(tr.Programs(4)); err != nil {
 		t.Fatal(err)
 	}
 	// The write must have landed and the RMW incremented word 8.

@@ -44,11 +44,11 @@ func (r *classRecorder) Next(p *sim.Proc, last sim.Result) (sim.Op, bool) {
 	return op, ok
 }
 
-// TestGeneratorsClassifyEveryReference pins the satellite requirement:
-// every workload generator tags every memory reference with a routing
-// class, in both execution forms. The direct form is checked by a
-// recording wrapper; the blocking form by running on a Routed two-tier
-// machine, which rejects unclassified references outright.
+// TestGeneratorsClassifyEveryReference: every workload generator tags
+// every memory reference with a routing class, run directly or through
+// blocking closures. The direct run is checked by a recording wrapper;
+// the blocking run by the Routed two-tier machine, which rejects
+// unclassified references outright.
 func TestGeneratorsClassifyEveryReference(t *testing.T) {
 	const procs = 4
 	for name, w := range classCases() {
@@ -79,16 +79,17 @@ func TestGeneratorsClassifyEveryReference(t *testing.T) {
 			cfg.Routed = true
 			a := aquarius.New(cfg)
 			l := workload.Layout{G: a.Sync.Geometry()}
-			if err := a.Run(w.Build(l, procs)); err != nil {
+			if err := a.Run(blocking(w.Programs(l, procs))); err != nil {
 				t.Fatalf("routed run: %v", err)
 			}
 		})
 	}
 }
 
-// TestBuildMatchesProgramsOnTwoTier extends the differential to the
-// routed machine: both execution forms of a generator must drive the
-// two-tier system to identical clocks and counters.
+// TestBuildMatchesProgramsOnTwoTier extends TestDirectMatchesShim to
+// the routed machine: a generator's programs, run as built blocking
+// closures or directly, must drive the two-tier system to identical
+// clocks and counters.
 func TestBuildMatchesProgramsOnTwoTier(t *testing.T) {
 	const procs = 4
 	for name, w := range classCases() {
@@ -104,7 +105,7 @@ func TestBuildMatchesProgramsOnTwoTier(t *testing.T) {
 				if direct {
 					err = a.RunPrograms(w.Programs(l, procs))
 				} else {
-					err = a.Run(w.Build(l, procs))
+					err = a.Run(blocking(w.Programs(l, procs)))
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -1,11 +1,12 @@
 package workload_test
 
-// The generator goldens freeze every Build generator's run as sha256
-// digests, so the blocking forms can later be retired against an
-// oracle as strong as TestDirectMatchesShim. Regenerate after an
+// The generator goldens freeze every generator's run as sha256
+// digests. They were recorded from the blocking closures the
+// generators were first written as, before those were retired, and
+// every Programs form must reproduce them. Regenerate after an
 // intentional behaviour change with
 //
-//	go test ./internal/workload/ -run TestBuildGoldens -update
+//	go test ./internal/workload/ -run TestGeneratorGoldens -update
 
 import (
 	"bufio"
@@ -20,6 +21,7 @@ import (
 	"testing"
 
 	"cachesync/internal/addr"
+	"cachesync/internal/cache"
 	"cachesync/internal/protocol"
 	"cachesync/internal/protocol/all"
 	"cachesync/internal/sim"
@@ -27,41 +29,84 @@ import (
 	"cachesync/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/build_goldens.txt")
+var update = flag.Bool("update", false, "rewrite testdata/generator_goldens.txt")
 
-const goldenFile = "testdata/build_goldens.txt"
+const goldenFile = "testdata/generator_goldens.txt"
 
-// goldenGens lists every generator with a Build form. Generators
-// without a Seed field derive their parameters from the seed instead,
-// so each seed still exercises a distinct run.
+// builder is any workload generator.
+type builder interface {
+	Programs(l workload.Layout, procs int) []sim.Program
+}
+
+// blocking wraps each program in a blocking closure that issues its
+// ops through Proc.Do, so System.Run's coroutine adapter carries the
+// op stream RunPrograms steps inline.
+func blocking(progs []sim.Program) []func(*sim.Proc) {
+	ws := make([]func(*sim.Proc), len(progs))
+	for i, prog := range progs {
+		if prog == nil {
+			continue
+		}
+		ws[i] = func(p *sim.Proc) {
+			var r sim.Result
+			for {
+				op, ok := prog.Next(p, r)
+				if !ok {
+					return
+				}
+				r = p.Do(op)
+			}
+		}
+	}
+	return ws
+}
+
+func newDiffSystem(name string, procs int) *sim.System {
+	p := protocol.MustNew(name)
+	cfg := sim.DefaultConfig(p)
+	cfg.Procs = procs
+	if p.Features().OneWordBlocks {
+		cfg.Geometry = addr.MustGeometry(1, 1)
+	}
+	// Small caches force evictions, so the digests also cover the
+	// victim/flush paths.
+	cfg.Cache = cache.Config{Sets: 1, Ways: 16}
+	return sim.New(cfg)
+}
+
+// goldenGens lists every generator. Generators without a Seed field
+// derive their parameters from the seed instead, so each seed still
+// exercises a distinct run. Every generator is frozen at seeds 1-3;
+// extra lists the further seeds TestDirectMatchesShim runs.
 var goldenGens = []struct {
-	name string
-	make func(seed int64, scheme syncprim.Scheme) builder
+	name  string
+	make  func(seed int64, scheme syncprim.Scheme) builder
+	extra []int64
 }{
 	{"mixed", func(seed int64, _ syncprim.Scheme) builder {
 		return workload.Mixed{Ops: 400, SharedBlocks: 8, PrivBlocks: 24,
 			SharedFrac: 0.3, WriteFrac: 0.35, Seed: seed}
-	}},
+	}, nil},
 	{"lock", func(seed int64, sc syncprim.Scheme) builder {
 		return workload.LockContention{Locks: 2, Iters: 25, HoldCycles: 20,
 			ThinkCycles: 10, CSWrites: 2, Scheme: sc, Seed: seed}
-	}},
+	}, nil},
 	{"pc", func(seed int64, sc syncprim.Scheme) builder {
 		return workload.ProducerConsumer{Items: 10 + 10*int(seed), WritesPerItem: 2 + 2*int(seed), Scheme: sc}
-	}},
+	}, nil},
 	{"queues", func(seed int64, sc syncprim.Scheme) builder {
 		return workload.ServiceQueues{Requests: 15, Scheme: sc, Seed: seed}
-	}},
+	}, []int64{7}},
 	{"privateruns", func(seed int64, _ syncprim.Scheme) builder {
 		return workload.PrivateRuns{Blocks: 12, Sweeps: 4, WriteBack: 0.5, Static: true, Seed: seed}
-	}},
+	}, []int64{5}},
 	{"statesave", func(seed int64, _ syncprim.Scheme) builder {
 		return workload.StateSave{Switches: 5 + 5*int(seed), StateBlocks: 2 + 2*int(seed)}
-	}},
+	}, nil},
 	{"lockdata", func(seed int64, sc syncprim.Scheme) builder {
 		return workload.LockedData{Locks: 2, Iters: 12, Records: 4, Instrs: 3,
 			Think: 8, Scheme: sc, Seed: seed}
-	}},
+	}, []int64{11}},
 }
 
 // runDigest runs one generator form on a fresh differential machine
@@ -137,11 +182,9 @@ func readGoldens(t *testing.T) map[string]string {
 	return out
 }
 
-// TestBuildGoldens checks every Build generator x protocol x seed
-// against the committed digests, on both execution forms: the
-// blocking Build form the goldens freeze, and the Program form that
-// must reproduce it.
-func TestBuildGoldens(t *testing.T) {
+// TestGeneratorGoldens checks every generator x protocol x seed's
+// Programs run against the committed digests.
+func TestGeneratorGoldens(t *testing.T) {
 	const procs = 4
 	var want map[string]string
 	if !*update {
@@ -151,24 +194,15 @@ func TestBuildGoldens(t *testing.T) {
 	for _, name := range all.Everything {
 		scheme := syncprim.SchemeFor(protocol.MustNew(name))
 		for _, g := range goldenGens {
-			for _, seed := range []int64{1, 2} {
+			for _, seed := range append([]int64{1, 2, 3}, g.extra...) {
 				key := fmt.Sprintf("%s/%s/seed%d", name, g.name, seed)
 				w := g.make(seed, scheme)
-				blocking := runDigest(t, name, procs, func(s *sim.System, l workload.Layout) error {
-					return s.Run(w.Build(l, procs))
-				})
-				got = append(got, key+" "+blocking)
-				if *update {
-					continue
-				}
-				if blocking != want[key] {
-					t.Errorf("%s Build:\n  got  %s\n  want %s", key, blocking, want[key])
-				}
-				direct := runDigest(t, name, procs, func(s *sim.System, l workload.Layout) error {
+				d := runDigest(t, name, procs, func(s *sim.System, l workload.Layout) error {
 					return s.RunPrograms(w.Programs(l, procs))
 				})
-				if direct != want[key] {
-					t.Errorf("%s Programs:\n  got  %s\n  want %s", key, direct, want[key])
+				got = append(got, key+" "+d)
+				if !*update && d != want[key] {
+					t.Errorf("%s:\n  got  %s\n  want %s", key, d, want[key])
 				}
 			}
 		}
@@ -181,5 +215,63 @@ func TestBuildGoldens(t *testing.T) {
 	}
 	if len(want) != len(got) {
 		t.Errorf("%s has %d entries, the suite runs %d", goldenFile, len(want), len(got))
+	}
+}
+
+// TestDirectMatchesShim is the differential gate for System.Run's
+// coroutine adapter: for every protocol, a generator's programs driven
+// as blocking closures must reproduce the direct RunPrograms run
+// exactly — same bus transactions at the same cycles, same final
+// machine state, same counters.
+func TestDirectMatchesShim(t *testing.T) {
+	const procs = 4
+	diff := func(t *testing.T, name string, w builder) {
+		direct := runDigest(t, name, procs, func(s *sim.System, l workload.Layout) error {
+			return s.RunPrograms(w.Programs(l, procs))
+		})
+		shim := runDigest(t, name, procs, func(s *sim.System, l workload.Layout) error {
+			return s.Run(blocking(w.Programs(l, procs)))
+		})
+		if shim != direct {
+			t.Errorf("blocking run differs from direct run:\n  shim   %s\n  direct %s", shim, direct)
+		}
+	}
+	for _, name := range all.Everything {
+		name := name
+		scheme := syncprim.SchemeFor(protocol.MustNew(name))
+		for _, seed := range []int64{1, 2, 3} {
+			seed := seed
+			t.Run(fmt.Sprintf("%s/mixed/seed%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				diff(t, name, workload.Mixed{Ops: 400, SharedBlocks: 8,
+					PrivBlocks: 24, SharedFrac: 0.3, WriteFrac: 0.35, Seed: seed})
+			})
+			t.Run(fmt.Sprintf("%s/lock/seed%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				diff(t, name, workload.LockContention{Locks: 2, Iters: 25,
+					HoldCycles: 20, ThinkCycles: 10, CSWrites: 2, Scheme: scheme, Seed: seed})
+			})
+		}
+		t.Run(name+"/pc", func(t *testing.T) {
+			t.Parallel()
+			diff(t, name, workload.ProducerConsumer{Items: 20, WritesPerItem: 4, Scheme: scheme})
+		})
+		t.Run(name+"/queues", func(t *testing.T) {
+			t.Parallel()
+			diff(t, name, workload.ServiceQueues{Requests: 15, Scheme: scheme, Seed: 7})
+		})
+		t.Run(name+"/privateruns", func(t *testing.T) {
+			t.Parallel()
+			diff(t, name, workload.PrivateRuns{Blocks: 12, Sweeps: 4, WriteBack: 0.5, Static: true, Seed: 5})
+		})
+		t.Run(name+"/statesave", func(t *testing.T) {
+			t.Parallel()
+			diff(t, name, workload.StateSave{Switches: 10, StateBlocks: 4})
+		})
+		t.Run(name+"/lockdata", func(t *testing.T) {
+			t.Parallel()
+			diff(t, name, workload.LockedData{Locks: 2, Iters: 12,
+				Records: 4, Instrs: 3, Think: 8, Scheme: scheme, Seed: 11})
+		})
 	}
 }

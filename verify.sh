@@ -47,8 +47,8 @@ echo "== go test -race (mcheck + sim smoke)"
 go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume' ./internal/mcheck/
 go test -race -short ./internal/sim/
 
-echo "== go test -race (blocking workloads as coroutines: differential gate, sync primitives)"
-go test -race -short -run 'TestDirectMatchesShim' ./internal/workload/
+echo "== go test -race (blocking workloads as coroutines: generator goldens, blocking-vs-direct differential, sync primitives)"
+go test -race -short -run 'TestGeneratorGoldens|TestDirectMatchesShim' ./internal/workload/
 go test -race -short ./internal/syncprim/
 
 echo "== go test -race (runner pool, parallel sweep executor, bus, scheduler queue)"
@@ -80,8 +80,8 @@ go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
 go test -run 'FuzzRunFileDecode' ./internal/mcheck/
 
-echo "== direct-vs-blocking differential gate + generator goldens (13 protocols x generators)"
-go test -run 'TestDirectMatchesShim|TestBuildGoldens' ./internal/workload/
+echo "== generator goldens + blocking-vs-direct differential gate (13 protocols x generators)"
+go test -run 'TestGeneratorGoldens|TestDirectMatchesShim' ./internal/workload/
 
 echo "== steady-state allocation gate (0 allocs/op in the sim hot loop, direct and blocking)"
 go test -run 'TestSimSteadyStateAllocs|TestBlockingSteadyStateAllocs' .
