@@ -87,7 +87,7 @@ func parseProcCounts(spec string) ([]int, error) {
 // in-process parallel cell executor. Cells merge in submission order,
 // so the printed output is byte-identical to a sequential loop at any
 // worker count.
-func runSweep(base simrun.Config, protos []string, counts, remotes []int) int {
+func runSweep(w, ew io.Writer, base simrun.Config, protos []string, counts, remotes []int, workers int) int {
 	var cfgs []simrun.Config
 	for _, p := range protos {
 		for _, n := range counts {
@@ -100,24 +100,40 @@ func runSweep(base simrun.Config, protos []string, counts, remotes []int) int {
 			}
 		}
 	}
+	if !validate(ew, cfgs) {
+		return 2
+	}
 	pass := true
-	err := simrun.RunCells(context.Background(), cfgs, *workers, func(i int, res simrun.Result) {
+	err := simrun.RunCells(context.Background(), cfgs, workers, func(i int, res simrun.Result) {
 		hdr := fmt.Sprintf("%s procs=%d", cfgs[i].Protocol, cfgs[i].Procs)
 		if len(remotes) > 1 || cfgs[i].RemoteCycles > 0 {
 			hdr += fmt.Sprintf(" remote=%d", cfgs[i].RemoteCycles)
 		}
-		fmt.Printf("=== %s ===\n%s\n", hdr, res.Output)
+		fmt.Fprintf(w, "=== %s ===\n%s\n", hdr, res.Output)
 		pass = pass && res.Pass
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(ew, err)
 		return 2
 	}
 	if !pass {
-		fmt.Fprintln(os.Stderr, "coherence checker: violations in at least one sweep cell")
+		fmt.Fprintln(ew, "coherence checker: violations in at least one sweep cell")
 		return 1
 	}
 	return 0
+}
+
+// validate checks every config before any runs, printing the first
+// failure to ew: out-of-range flags are usage errors, not runs of
+// some other machine.
+func validate(ew io.Writer, cfgs []simrun.Config) bool {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintln(ew, err)
+			return false
+		}
+	}
+	return true
 }
 
 // parseRemoteCycles accepts a comma list of latencies (0 allowed).
@@ -245,16 +261,24 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		os.Exit(runSweep(base, protos, counts, remotes))
+		os.Exit(runSweep(os.Stdout, os.Stderr, base, protos, counts, remotes, *workers))
 	}
 
 	os.Exit(runProtocols(os.Stdout, os.Stderr, base, protos, *workers))
 }
 
 // runProtocols runs base once per protocol through the runner and
-// returns the process exit code: 2 when a run fails (a bad config
-// included), else finish's.
+// returns the process exit code: 2 for a config that fails validation
+// or a run that fails, else finish's.
 func runProtocols(w, ew io.Writer, base simrun.Config, protos []string, workers int) int {
+	cfgs := make([]simrun.Config, len(protos))
+	for i, p := range protos {
+		cfgs[i] = base
+		cfgs[i].Protocol = p
+	}
+	if !validate(ew, cfgs) {
+		return 2
+	}
 	// No result cache here: cachesim is the interactive exploration
 	// driver, and trace-file contents are not part of the cache key.
 	res, err := runner.Run(jobs(base, protos), runner.Options{Workers: workers})

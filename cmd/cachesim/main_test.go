@@ -102,3 +102,38 @@ func TestBadSchemeExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangeFlagsExitTwo: every config is validated before it
+// runs, so out-of-range flags are usage errors (exit 2 with the
+// validation message) on the per-protocol path and in sweep cells,
+// instead of silently running another machine or panicking.
+func TestOutOfRangeFlagsExitTwo(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*simrun.Config)
+		want string
+	}{
+		{"tiers 3", func(c *simrun.Config) { c.Tiers = 3 }, "tiers must be 1 or 2, got 3"},
+		{"ops -5", func(c *simrun.Config) { c.Ops = -5 }, "ops -5 out of range"},
+		{"procs 0", func(c *simrun.Config) { c.Procs = 0 }, "procs 0 out of range"},
+	} {
+		cfg := baseTestCfg()
+		cfg.Tiers = 1
+		c.edit(&cfg)
+		var out, errOut strings.Builder
+		if code := runProtocols(&out, &errOut, cfg, []string{"bitar"}, 1); code != 2 {
+			t.Errorf("%s: exit %d, want 2\n%s", c.name, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), c.want) || out.Len() != 0 {
+			t.Errorf("%s: stderr %q (stdout %d bytes), want only %q", c.name, errOut.String(), out.Len(), c.want)
+		}
+	}
+	// A sweep cell is validated too: -tiers 3 with -sweep-remote.
+	cfg := baseTestCfg()
+	cfg.Tiers = 3
+	var out, errOut strings.Builder
+	if code := runSweep(&out, &errOut, cfg, []string{"bitar"}, []int{2}, []int{0, 16}, 1); code != 2 ||
+		!strings.Contains(errOut.String(), "tiers must be 1 or 2, got 3") {
+		t.Errorf("sweep with tiers 3: exit %d, stderr %q", code, errOut.String())
+	}
+}

@@ -360,6 +360,25 @@ func (c *Cache) probe(op protocol.Op, a addr.Addr, count bool) (protocol.ProcRes
 	return r, ln
 }
 
+// RepeatReadHits applies n more read hits on the word at a, exactly
+// as n Probe(OpRead) calls that hit and leave the line's state
+// unchanged would: the read-hit counter grows by n and the line
+// becomes the most recent of n more touches. The simulator skips the
+// provably identical re-reads of a busy-wait loop with it.
+func (c *Cache) RepeatReadHits(a addr.Addr, n int64) {
+	ln := c.find(c.geom.BlockOf(a), false)
+	if ln == nil || n <= 0 {
+		return
+	}
+	h := &c.hitH[protocol.OpRead]
+	if *h == nil {
+		*h = c.Counts.Handle(hitCounterNames[protocol.OpRead])
+	}
+	**h += n
+	c.tick += uint64(n)
+	ln.lru = c.tick
+}
+
 // SetUnitDirty overrides block b's per-unit dirty bits (used when
 // dirty status transfers with the block, Feature 7 "NF,S").
 func (c *Cache) SetUnitDirty(b addr.Block, dirty []bool) {

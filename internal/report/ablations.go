@@ -89,16 +89,12 @@ func A2ConcurrentFlush() *stats.Table {
 					for k := uint64(1); k <= 30; k++ {
 						p.Write(data, k)
 						p.Write(flag, k)
-						for p.Read(flag) != 0 {
-							p.Compute(4)
-						}
+						p.Do(sim.SpinOp(flag, 0, true, 4))
 					}
 				},
 				func(p *sim.Proc) {
 					for k := uint64(1); k <= 30; k++ {
-						for p.Read(flag) != k {
-							p.Compute(4)
-						}
+						p.Do(sim.SpinOp(flag, k, true, 4))
 						p.Read(data)
 						p.Write(flag, 0)
 					}

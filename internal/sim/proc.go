@@ -21,6 +21,7 @@ const (
 	opIO                         // I/O processor transfer (Section E.2)
 	opLockPrefetch               // request a lock but keep working (Section E.4)
 	opLockWait                   // join a previously prefetched lock
+	opSpin                       // re-read a word until it passes a compare (SpinOp)
 	opDone                       // workload finished
 )
 
@@ -38,16 +39,18 @@ const (
 
 // procOp is one request from a processor to the engine. It is copied
 // on every simulated operation (Program.Next returns it by value), so
-// it is kept narrow: opCompute's cycle count shares the value field,
-// and the block-write progress index is 32-bit.
+// it is kept narrow: opCompute's cycle count and opSpin's compare word
+// share the value field, and the block-write progress index, which
+// doubles as opSpin's pause, is 32-bit.
 type procOp struct {
 	kind  opKind
 	op    protocol.Op
 	io    ioKind
 	class interconnect.Class // routing class on a tiered machine
-	idx   int32              // progress index of a lowered block write
+	ne    bool               // opSpin: wait for a word != value (else ==)
+	idx   int32              // progress index of a lowered block write; opSpin's pause cycles
 	addr  addr.Addr
-	value uint64   // written word, or opCompute cycles
+	value uint64   // written word, opCompute cycles, or opSpin's compare word
 	vals  []uint64 // opBlockWrite
 	f     func(uint64) uint64
 }
@@ -102,7 +105,25 @@ type Proc struct {
 		value    uint64
 	}
 
-	Counts stats.Counters
+	// spin is the engine state of an in-flight SpinOp (see spin.go).
+	spin struct {
+		pausing bool // the next event is the pause after a failed read
+		armed   bool // re-reads repeat exactly until the next bus grant
+	}
+
+	Counts   stats.Counters
+	computeH *int64 // proc.compute-cycles, resolved on first use
+}
+
+// addCompute charges n cycles of local work through the cached
+// proc.compute-cycles handle. The handle is resolved on the first
+// compute op, so the counter stays absent from runs that never
+// compute and reads zero after a zero-cycle op.
+func (p *Proc) addCompute(n int64) {
+	if p.computeH == nil {
+		p.computeH = p.Counts.Handle("proc.compute-cycles")
+	}
+	*p.computeH += n
 }
 
 // ID returns the processor's index.

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"cachesync/internal/addr"
 	"cachesync/internal/interconnect"
@@ -55,7 +56,7 @@ func InstrFetchOp(a addr.Addr) Op {
 }
 
 // WithClass returns o tagged with routing class c for tiered
-// machines. The lock, RMW, and I/O constructors are Sync already; a
+// machines. The lock, RMW, spin and I/O constructors are Sync already; a
 // single-tier machine ignores classes entirely.
 func (o Op) WithClass(c interconnect.Class) Op {
 	o.raw.class = c
@@ -139,6 +140,27 @@ func WriteBlockOp(a addr.Addr, vals []uint64) Op {
 // keep op streams identical.
 func ComputeOp(n int64) Op {
 	return Op{procOp{kind: opCompute, value: uint64(n)}}
+}
+
+// SpinOp waits for the word at a to equal v (eq) or to differ from
+// it (!eq), the busy-wait loop of a waiter that "loops on a one in
+// its cache" (Section E.4). It reads the word; after each read that
+// fails the compare it pauses pause cycles of local work (no pause
+// when pause <= 0) and reads again. The Result is that of the read
+// that passes. Cycles and counters are exactly those of yielding the
+// same ReadOps and ComputeOps one by one, but the program is not
+// stepped per iteration, and the engine applies iterations that
+// provably repeat in bulk (see spin.go). Like the other
+// synchronization constructors, the read is Sync class.
+func SpinOp(a addr.Addr, v uint64, eq bool, pause int64) Op {
+	if pause > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: SpinOp pause %d out of range", pause))
+	}
+	if pause < 0 {
+		pause = 0
+	}
+	return Op{procOp{kind: opSpin, op: protocol.OpRead, addr: a, value: v, ne: !eq,
+		idx: int32(pause), class: interconnect.Sync}}
 }
 
 // IOOp issues an I/O-processor transfer against the block containing

@@ -154,6 +154,7 @@ type System struct {
 	waiterPool [][]int              // retired waiter slices for reuse
 	doneN      int
 	started    bool
+	armedN     int // processors whose SpinOp is armed (spin.go)
 
 	// txnScratch/txnScratch2 are the pooled bus-transaction records:
 	// every transaction the engine issues reuses one of them (two are
@@ -354,11 +355,17 @@ func (s *System) run(ctx context.Context) error {
 		switch {
 		case rp != -1 && (s.nextBus == -1 || rt <= s.nextGrant):
 			s.ready.remove(rp)
+			if s.Procs[rp].spin.armed && s.jumpSpin(s.Procs[rp], rt) {
+				continue
+			}
 			s.clock = rt
 			if err := s.step(s.Procs[rp], rt); err != nil {
 				return err
 			}
 		case s.nextBus != -1:
+			if s.armedN > 0 {
+				s.disarmSpinners()
+			}
 			s.clock = s.nextGrant
 			id, ok := s.Buses[s.nextBus].ArbitrateAt(s.nextGrant)
 			if !ok {
@@ -387,6 +394,10 @@ func (s *System) deadlockError() error {
 // pulls its next one with an inline Program.Next call, copying the
 // wide procOp once, from the program's return value into pending.
 func (s *System) respond(p *Proc, t int64, res procRes) {
+	if p.pending.kind == opSpin && !p.pending.spinPasses(res.value) {
+		s.spinAgain(p, t, false)
+		return
+	}
 	p.now = t
 	op, ok := p.prog.Next(p, Result{Value: res.value, OK: res.ok, Now: t})
 	if !ok {
@@ -426,8 +437,10 @@ func (s *System) step(p *Proc, t int64) error {
 		s.doneN++
 	case opCompute:
 		n := int64(op.value)
-		p.Counts.Add("proc.compute-cycles", n)
+		p.addCompute(n)
 		s.respond(p, t+n, procRes{})
+	case opSpin:
+		return s.stepSpin(p, t, op)
 	case opMem:
 		p.opStart = t
 		if s.lower != nil {

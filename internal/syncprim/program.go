@@ -28,12 +28,11 @@ type LockAcquire struct {
 type acqPhase uint8
 
 const (
-	acqIdle      acqPhase = iota
-	acqLockRead           // CacheLock: the LockRead
-	acqRMW                // TAS/TTAS/TASMemory: the test-and-set
-	acqPause              // TAS/TASMemory: the pause between attempts
-	acqRead               // TTAS: the in-cache read of the lock word
-	acqReadPause          // TTAS: the pause between in-cache reads
+	acqIdle     acqPhase = iota
+	acqLockRead          // CacheLock: the LockRead
+	acqRMW               // TAS/TTAS/TASMemory: the test-and-set
+	acqPause             // TAS/TASMemory: the pause between attempts
+	acqSpin              // TTAS: the in-cache wait for the lock word to read zero
 )
 
 // Start arms the acquire of the lock at a and returns its first
@@ -78,24 +77,17 @@ func (l *LockAcquire) Step(p *sim.Proc, last sim.Result) (op sim.Op, done bool) 
 		if l.scheme == TTAS {
 			// Loop on the copy in the cache until the holder's
 			// release invalidates (or updates) it.
-			l.phase = acqRead
-			return sim.ReadOp(l.addr).WithClass(interconnect.Sync), false
+			l.phase = acqSpin
+			return sim.SpinOp(l.addr, 0, true, spinPause), false
 		}
 		l.phase = acqPause
 		return sim.ComputeOp(spinPause), false
 	case acqPause:
 		l.phase = acqRMW
 		return l.rmwOp(), false
-	case acqRead:
-		if last.Value != 0 {
-			l.phase = acqReadPause
-			return sim.ComputeOp(spinPause), false
-		}
+	case acqSpin:
 		l.phase = acqRMW
 		return l.rmwOp(), false
-	case acqReadPause:
-		l.phase = acqRead
-		return sim.ReadOp(l.addr).WithClass(interconnect.Sync), false
 	}
 	panic("syncprim: LockAcquire.Step without Start")
 }

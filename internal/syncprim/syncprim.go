@@ -216,9 +216,7 @@ func (b *Barrier) Wait(p *sim.Proc) {
 	}
 	p.WriteClass(b.count, arrived, interconnect.Sync)
 	Release(p, b.scheme, b.lock)
-	for p.ReadClass(b.sense, interconnect.Sync) == gen {
-		p.Compute(spinPause)
-	}
+	p.Do(sim.SpinOp(b.sense, gen, false, spinPause))
 	p.Counts.Inc("sync.barrier")
 }
 
@@ -259,9 +257,7 @@ func (l *RWLock) RUnlock(p *sim.Proc) {
 // serializes competing writers).
 func (l *RWLock) Lock(p *sim.Proc) {
 	Acquire(p, l.scheme, l.guard)
-	for p.ReadClass(l.count, interconnect.Sync) != 0 {
-		p.Compute(spinPause)
-	}
+	p.Do(sim.SpinOp(l.count, 0, true, spinPause))
 	p.Counts.Inc("sync.wlock")
 }
 

@@ -162,11 +162,10 @@ func (w ProducerConsumer) Programs(l Layout, procs int) []sim.Program {
 const (
 	ppStart uint8 = iota
 	ppAcq
-	ppWrite    // a write to the atom
-	ppRel      // the release op
-	ppFlag     // the publish write
-	ppSpinRead // a read of the flag, waiting for the acknowledgement
-	ppSpinPause
+	ppWrite // a write to the atom
+	ppRel   // the release op
+	ppFlag  // the publish write
+	ppSpin  // the wait for the flag's acknowledgement
 )
 
 type producerProg struct {
@@ -194,17 +193,10 @@ func (g *producerProg) Next(p *sim.Proc, last sim.Result) (sim.Op, bool) {
 		g.pc = ppFlag
 		return sim.WriteOp(g.flag, uint64(g.i)).WithClass(interconnect.Sync), true // publish
 	case ppFlag:
-		g.pc = ppSpinRead
-		return sim.ReadOp(g.flag).WithClass(interconnect.Sync), true
-	case ppSpinRead:
-		if last.Value != 0 {
-			g.pc = ppSpinPause
-			return sim.ComputeOp(4), true
-		}
+		g.pc = ppSpin
+		return sim.SpinOp(g.flag, 0, true, 4), true
+	case ppSpin:
 		g.i++ // acknowledged; next item
-	case ppSpinPause:
-		g.pc = ppSpinRead
-		return sim.ReadOp(g.flag).WithClass(interconnect.Sync), true
 	}
 	if g.i > g.w.Items {
 		return sim.Op{}, false
@@ -223,9 +215,8 @@ func (g *producerProg) emitWrite() sim.Op {
 }
 
 const (
-	cpStart    uint8 = iota
-	cpSpinRead       // a read of the flag, waiting for the publish
-	cpSpinPause
+	cpStart uint8 = iota
+	cpSpin        // the wait for the flag's publish
 	cpAcq
 	cpRead // a read of the atom
 	cpRel  // the release op
@@ -243,16 +234,9 @@ type consumerProg struct {
 
 func (g *consumerProg) Next(p *sim.Proc, last sim.Result) (sim.Op, bool) {
 	switch g.pc {
-	case cpSpinRead:
-		if last.Value != uint64(g.i) {
-			g.pc = cpSpinPause
-			return sim.ComputeOp(4), true
-		}
+	case cpSpin:
 		g.pc = cpAcq
 		return g.lk.Start(g.w.Scheme, g.lock), true
-	case cpSpinPause:
-		g.pc = cpSpinRead
-		return sim.ReadOp(g.flag).WithClass(interconnect.Sync), true
 	case cpAcq:
 		if op, done := g.lk.Step(p, last); !done {
 			return op, true
@@ -272,8 +256,8 @@ func (g *consumerProg) Next(p *sim.Proc, last sim.Result) (sim.Op, bool) {
 	if g.i > g.w.Items {
 		return sim.Op{}, false
 	}
-	g.pc = cpSpinRead
-	return sim.ReadOp(g.flag).WithClass(interconnect.Sync), true
+	g.pc = cpSpin
+	return sim.SpinOp(g.flag, uint64(g.i), true, 4), true
 }
 
 func (g *consumerProg) emitRead() sim.Op {

@@ -80,8 +80,10 @@ go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
 go test -run 'FuzzRunFileDecode' ./internal/mcheck/
 
-echo "== generator goldens + blocking-vs-direct differential gate (13 protocols x generators)"
+echo "== generator + spin goldens, blocking-vs-direct and SpinOp-vs-read-loop differential gates"
 go test -run 'TestGeneratorGoldens|TestDirectMatchesShim' ./internal/workload/
+go test -run 'TestSpinOpMatchesReadLoop|TestSpinOpLivelockFoundAtOnce' ./internal/sim/
+go test -run 'TestSpinGoldens' ./internal/simrun/
 
 echo "== steady-state allocation gate (0 allocs/op in the sim hot loop, direct and blocking)"
 go test -run 'TestSimSteadyStateAllocs|TestBlockingSteadyStateAllocs' .
